@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"knightking/internal/graph"
@@ -131,14 +130,25 @@ func UniformPartition(numVertices, numNodes int) *Partition {
 // NumNodes returns the number of ranges.
 func (p *Partition) NumNodes() int { return len(p.starts) - 1 }
 
-// Owner returns the node owning vertex v.
+// Owner returns the node owning vertex v: the smallest i with
+// starts[i+1] > v. It runs on every walker migration, so the binary search
+// is hand-rolled; sort.Search would take a capturing closure.
+//
+//kk:hotpath
 func (p *Partition) Owner(v graph.VertexID) int {
-	// Smallest i with starts[i+1] > v.
-	i := sort.Search(p.NumNodes(), func(i int) bool { return p.starts[i+1] > v })
-	if i == p.NumNodes() {
-		panic(fmt.Sprintf("cluster: vertex %d outside partition", v))
+	lo, hi := 0, len(p.starts)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.starts[mid+1] > v {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	return i
+	if lo == len(p.starts)-1 {
+		panic(fmt.Sprintf("cluster: vertex %d outside partition", v)) //kk:alloc-ok error path: a vertex outside the graph aborts the run
+	}
+	return lo
 }
 
 // Range returns the half-open vertex range [lo, hi) owned by node rank.
@@ -147,6 +157,8 @@ func (p *Partition) Range(rank int) (lo, hi graph.VertexID) {
 }
 
 // Owns reports whether node rank owns vertex v.
+//
+//kk:hotpath
 func (p *Partition) Owns(rank int, v graph.VertexID) bool {
 	return v >= p.starts[rank] && v < p.starts[rank+1]
 }

@@ -3,11 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"knightking/internal/gen"
 	"knightking/internal/graph"
+	"knightking/internal/rng"
 	"knightking/internal/transport"
 )
 
@@ -98,6 +100,42 @@ func TestOwnerQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOwnerMatchesSortSearch checks the hand-rolled Owner search against
+// a sort.Search reference over random partitions, many of them with
+// empty ranks (repeated boundaries), for every vertex, and checks that a
+// vertex past the last boundary still panics.
+func TestOwnerMatchesSortSearch(t *testing.T) {
+	r := rng.New(12)
+	for trial := 0; trial < 200; trial++ {
+		ranks := 1 + r.Intn(9)
+		numV := r.Intn(60)
+		starts := make([]graph.VertexID, ranks+1)
+		for i := 1; i < ranks; i++ {
+			starts[i] = graph.VertexID(r.Intn(numV + 1))
+		}
+		starts[ranks] = graph.VertexID(numV)
+		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+		p, err := NewPartition(starts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < numV; v++ {
+			want := sort.Search(ranks, func(i int) bool { return starts[i+1] > graph.VertexID(v) })
+			if got := p.Owner(graph.VertexID(v)); got != want {
+				t.Fatalf("starts %v: Owner(%d) = %d, want %d", starts, v, got, want)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("starts %v: Owner(%d) past the last boundary did not panic", starts, numV)
+				}
+			}()
+			p.Owner(graph.VertexID(numV))
+		}()
 	}
 }
 

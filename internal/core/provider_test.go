@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"knightking/internal/gen"
@@ -159,4 +160,54 @@ func TestProviderStaleEpochPanics(t *testing.T) {
 		Graph: g, Algorithm: &Algorithm{Name: "a", Biased: true, MaxSteps: 5},
 		NumWalkers: 10, Seed: 85, Samplers: p,
 	})
+}
+
+// TestProviderSizesSlabFromMisses: the alias slabs cover only the
+// vertices the provider does not serve. A provider serving every vertex
+// leaves both slabs empty; one with holes leaves exactly the holes' edges
+// to build, and those tables match a fresh NewAlias.
+func TestProviderSizesSlabFromMisses(t *testing.T) {
+	g := gen.WithUniformWeights(gen.UniformDegree(90, 5, 86), 1, 5, 87)
+	hole := func(v int) bool { return v%7 == 3 }
+	for _, tc := range []struct {
+		name string
+		skip func(int) bool
+	}{{"full", nil}, {"holes", hole}} {
+		cfg := Config{
+			Graph: g, Algorithm: &Algorithm{Name: "a", Biased: true, MaxSteps: 5},
+			Workers: 3, Samplers: buildProvider(t, g, "alias", tc.skip),
+		}
+		if err := cfg.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		n := &node{cfg: &cfg, g: g, alg: cfg.Algorithm, lo: 10, hi: 80}
+		n.buildSamplers()
+		wantTables, wantCells := 0, 0
+		for v := n.lo; v < n.hi; v++ {
+			if tc.skip != nil && tc.skip(int(v)) {
+				wantTables++
+				wantCells += g.Degree(v)
+			}
+		}
+		if len(n.aliases) != wantTables || len(n.cells) != wantCells {
+			t.Fatalf("%s: slabs hold %d tables / %d cells, want %d / %d",
+				tc.name, len(n.aliases), len(n.cells), wantTables, wantCells)
+		}
+		for v := n.lo; v < n.hi; v++ {
+			got := n.samplers[v-n.lo]
+			if tc.skip == nil || !tc.skip(int(v)) {
+				if got != cfg.Samplers.StaticSampler(v) {
+					t.Fatalf("%s: vertex %d does not use its provided table", tc.name, v)
+				}
+				continue
+			}
+			want, err := sampling.NewAlias(g.Weights(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: slab table of vertex %d differs from NewAlias", tc.name, v)
+			}
+		}
+	}
 }

@@ -326,23 +326,29 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	assertGraphsEqual(t, g, g2)
 }
 
+// TestBinaryRoundTrip round-trips weighted, typed graphs through
+// WriteBinary/ReadBinary: one inside a single decoder chunk and one whose
+// edge arrays span several.
 func TestBinaryRoundTrip(t *testing.T) {
 	r := rng.New(2)
 	b := NewBuilder(100)
 	for i := 0; i < 500; i++ {
 		b.AddTypedEdge(VertexID(r.Intn(100)), VertexID(r.Intn(100)), float32(r.Range(1, 5)), int32(r.Intn(4)))
 	}
-	g := b.Build()
-
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
+	for _, g := range []*Graph{b.Build(), multiChunkGraph()} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g2.Weighted() || !g2.Typed() {
+			t.Fatal("round trip dropped weights or types")
+		}
+		assertGraphsEqual(t, g, g2)
 	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsEqual(t, g, g2)
 }
 
 func TestBinaryRoundTripUnweighted(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -234,22 +235,59 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// readChunked reads exactly n little-endian values, growing the result in
-// bounded chunks so declared-but-absent data cannot force a huge upfront
-// allocation.
+// readChunked reads exactly n little-endian values, decoding each chunk
+// from one reused byte buffer straight into the result. The result's
+// capacity doubles only once the values already read fill it, so a header
+// that declares more data than the input holds fails with a clean error
+// after allocating no more than a chunk or twice the data actually present.
 func readChunked[T int64 | int32 | uint32 | float32](r io.Reader, n uint64, what string) ([]T, error) {
 	const chunk = 1 << 16
+	var zero T
+	size := uint64(binary.Size(zero))
+	buf := make([]byte, min64(n, chunk)*size)
 	out := make([]T, 0, min64(n, chunk))
-	for remaining := n; remaining > 0; {
-		take := min64(remaining, chunk)
-		buf := make([]T, take)
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+	for have := uint64(0); have < n; {
+		take := min64(n-have, chunk)
+		b := buf[:take*size]
+		if _, err := io.ReadFull(r, b); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, fmt.Errorf("graph: binary %s: %w", what, err)
 		}
-		out = append(out, buf...)
-		remaining -= take
+		if uint64(cap(out)) < have+take {
+			grown := make([]T, have, min64(n, 2*uint64(cap(out))))
+			copy(grown, out)
+			out = grown
+		}
+		out = out[:have+take]
+		decodeLE(out[have:], b)
+		have += take
 	}
 	return out, nil
+}
+
+// decodeLE fills dst from the little-endian bytes of src, which holds
+// exactly len(dst) values.
+func decodeLE[T int64 | int32 | uint32 | float32](dst []T, src []byte) {
+	switch d := any(dst).(type) {
+	case []int64:
+		for i := range d {
+			d[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+		}
+	case []int32:
+		for i := range d {
+			d[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	case []uint32:
+		for i := range d {
+			d[i] = binary.LittleEndian.Uint32(src[4*i:])
+		}
+	case []float32:
+		for i := range d {
+			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	}
 }
 
 func min64(a, b uint64) uint64 {

@@ -101,19 +101,19 @@ func ReadBinarySlice(rs io.ReadSeeker, lo, hi VertexID) (*Graph, error) {
 	offsetsLen := int64(h.NumVertices+1) * 8
 	dstBase := headerLen + offsetsLen
 	edgeLo, edgeHi := h.offsets[lo], h.offsets[hi]
-	sliceEdges := edgeHi - edgeLo
+	sliceEdges := uint64(edgeHi - edgeLo)
 
-	readArray := func(base int64, elem int64, out interface{}) error {
-		if _, err := rs.Seek(base+edgeLo*elem, io.SeekStart); err != nil {
+	// Each edge array is read from its own offset in the file through the
+	// same bounded decoder as ReadBinary, so offsets that claim more edges
+	// than the file holds fail cleanly instead of sizing a huge allocation.
+	seek := func(base int64) error {
+		if _, err := rs.Seek(base+edgeLo*4, io.SeekStart); err != nil {
 			return fmt.Errorf("graph: seek edge array: %w", err)
 		}
-		return binary.Read(rs, binary.LittleEndian, out)
+		return nil
 	}
 
-	g := &Graph{
-		offsets: make([]int64, h.NumVertices+1),
-		dst:     make([]VertexID, sliceEdges),
-	}
+	g := &Graph{offsets: make([]int64, h.NumVertices+1)}
 	// Offsets: 0 outside the owned range; shifted copies inside, so the
 	// slice's edges index from 0.
 	for v := int(lo); v < int(hi); v++ {
@@ -123,21 +123,28 @@ func ReadBinarySlice(rs io.ReadSeeker, lo, hi VertexID) (*Graph, error) {
 		g.offsets[v+1] = g.offsets[int(hi)]
 	}
 	// Vertices before lo keep offset 0 (degree 0): already zeroed.
-	if err := readArray(dstBase, 4, g.dst); err != nil {
-		return nil, fmt.Errorf("graph: slice dst: %w", err)
+	if err := seek(dstBase); err != nil {
+		return nil, err
+	}
+	if g.dst, err = readChunked[VertexID](rs, sliceEdges, "slice dst"); err != nil {
+		return nil, err
 	}
 	next := dstBase + int64(h.NumEdges)*4
 	if h.Weighted {
-		g.weight = make([]float32, sliceEdges)
-		if err := readArray(next, 4, g.weight); err != nil {
-			return nil, fmt.Errorf("graph: slice weights: %w", err)
+		if err := seek(next); err != nil {
+			return nil, err
+		}
+		if g.weight, err = readChunked[float32](rs, sliceEdges, "slice weights"); err != nil {
+			return nil, err
 		}
 		next += int64(h.NumEdges) * 4
 	}
 	if h.Typed {
-		g.etype = make([]int32, sliceEdges)
-		if err := readArray(next, 4, g.etype); err != nil {
-			return nil, fmt.Errorf("graph: slice types: %w", err)
+		if err := seek(next); err != nil {
+			return nil, err
+		}
+		if g.etype, err = readChunked[int32](rs, sliceEdges, "slice types"); err != nil {
+			return nil, err
 		}
 	}
 	g.ownedLo, g.ownedHi = lo, hi

@@ -87,46 +87,73 @@ func (u *Uniform) WeightAt(int) float64 { return 1 }
 
 // Alias is a Walker/Vose alias table: O(n) construction, O(1) sampling.
 // This is KnightKing's default static solution (§3, Figure 1b).
+//
+// The table is one []AliasCell, so a draw reads a single 16-byte cell.
+// The cells may live in a slab shared by many tables (see AliasBuilder).
 type Alias struct {
-	prob    []float64 // acceptance threshold per bucket
-	alias   []int32   // fallback item per bucket
-	weights []float64
-	total   float64
+	cells []AliasCell
+	total float64
+}
+
+// AliasCell is one bucket of an alias table: the acceptance threshold of
+// the bucket's own item, the fallback item, and the bucket item's weight.
+// Weights start as float32 everywhere in the engine, so keeping them at
+// that width is exact and the cell packs into 16 bytes.
+type AliasCell struct {
+	prob   float64
+	alias  int32
+	weight float32
+}
+
+// AliasBuilder builds alias tables into caller-provided cells, reusing
+// its construction scratch across tables. A zero AliasBuilder is ready to
+// use; it is not safe for concurrent use.
+type AliasBuilder struct {
+	scaled       []float64
+	small, large []int32
 }
 
 // NewAlias builds an alias table over the given non-negative weights. At
 // least one weight must be positive.
 func NewAlias(weights []float32) (*Alias, error) {
+	a := &Alias{}
+	var b AliasBuilder
+	if err := b.Build(a, make([]AliasCell, len(weights)), weights); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Build makes a an alias table over the given non-negative weights, at
+// least one of them positive, stored in cells, which must have exactly
+// len(weights) entries and which a keeps. The table equals
+// NewAlias(weights).
+func (b *AliasBuilder) Build(a *Alias, cells []AliasCell, weights []float32) error {
 	n := len(weights)
 	if n == 0 {
-		return nil, fmt.Errorf("sampling: alias table over zero items")
+		return fmt.Errorf("sampling: alias table over zero items")
 	}
-	w := make([]float64, n)
+	if len(cells) != n {
+		return fmt.Errorf("sampling: alias table over %d items given %d cells", n, len(cells))
+	}
 	total := 0.0
 	for i, x := range weights {
 		if x < 0 || math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return nil, fmt.Errorf("sampling: invalid weight %v at %d", x, i)
+			return fmt.Errorf("sampling: invalid weight %v at %d", x, i)
 		}
-		w[i] = float64(x)
+		cells[i].weight = x
 		total += float64(x)
 	}
 	if !(total > 0) {
-		return nil, fmt.Errorf("sampling: weights sum to %v", total)
+		return fmt.Errorf("sampling: weights sum to %v", total)
 	}
 
-	a := &Alias{
-		prob:    make([]float64, n),
-		alias:   make([]int32, n),
-		weights: w,
-		total:   total,
-	}
 	// Scaled weights: mean 1 per bucket.
-	scaled := make([]float64, n)
-	for i := range w {
-		scaled[i] = w[i] * float64(n) / total
+	scaled := growFloat64(b.scaled, n)
+	for i, x := range weights {
+		scaled[i] = float64(x) * float64(n) / total
 	}
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	small, large := b.small[:0], b.large[:0]
 	for i := n - 1; i >= 0; i-- {
 		if scaled[i] < 1 {
 			small = append(small, int32(i))
@@ -139,8 +166,8 @@ func NewAlias(weights []float32) (*Alias, error) {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
+		cells[s].prob = scaled[s]
+		cells[s].alias = l
 		scaled[l] -= 1 - scaled[s]
 		if scaled[l] < 1 {
 			small = append(small, l)
@@ -149,36 +176,48 @@ func NewAlias(weights []float32) (*Alias, error) {
 		}
 	}
 	for _, l := range large {
-		a.prob[l] = 1
-		a.alias[l] = l
+		cells[l].prob = 1
+		cells[l].alias = l
 	}
 	for _, s := range small { // numeric residue; should be ~1 already
-		a.prob[s] = 1
-		a.alias[s] = s
+		cells[s].prob = 1
+		cells[s].alias = s
 	}
-	return a, nil
+	b.scaled, b.small, b.large = scaled, small, large
+	a.cells, a.total = cells, total
+	return nil
+}
+
+// growFloat64 returns s resized to n, reallocating only when its capacity
+// is short.
+func growFloat64(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // Sample draws an index in O(1): pick a bucket uniformly, then the bucket's
-// primary item with probability prob[b], else its alias.
+// primary item with probability prob, else its alias.
 //
 //kk:hotpath
 func (a *Alias) Sample(r *rng.Rand) int {
-	b := r.Intn(len(a.prob))
-	if r.Float64() < a.prob[b] {
+	b := r.Intn(len(a.cells))
+	c := &a.cells[b]
+	if r.Float64() < c.prob {
 		return b
 	}
-	return int(a.alias[b])
+	return int(c.alias)
 }
 
 // N returns the item count.
-func (a *Alias) N() int { return len(a.prob) }
+func (a *Alias) N() int { return len(a.cells) }
 
 // Total returns ΣPs.
 func (a *Alias) Total() float64 { return a.total }
 
 // WeightAt returns the weight of item i.
-func (a *Alias) WeightAt(i int) float64 { return a.weights[i] }
+func (a *Alias) WeightAt(i int) float64 { return float64(a.cells[i].weight) }
 
 // ITS is an inverse-transform sampler: a CDF array with binary search,
 // O(n) construction, O(log n) sampling (§3, Figure 1a). KnightKing uses

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"knightking/internal/rng"
 )
@@ -204,6 +205,108 @@ func TestAliasAndITSAgreeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceAlias is the textbook Vose construction the alias table has
+// always used, kept in separate arrays: the slab builder must reproduce it
+// bit for bit, or walks drawn from alias tables would change.
+func referenceAlias(weights []float32) (prob []float64, alias []int32, total float64) {
+	n := len(weights)
+	for _, x := range weights {
+		total += float64(x)
+	}
+	prob, alias = make([]float64, n), make([]int32, n)
+	scaled := make([]float64, n)
+	for i, x := range weights {
+		scaled[i] = float64(x) * float64(n) / total
+	}
+	var small, large []int32
+	for i := n - 1; i >= 0; i-- {
+		if scaled[i] < 1 {
+			small = append(small, int32(i))
+		} else {
+			large = append(large, int32(i))
+		}
+	}
+	for len(small) > 0 && len(large) > 0 {
+		s, l := small[len(small)-1], large[len(large)-1]
+		small, large = small[:len(small)-1], large[:len(large)-1]
+		prob[s], alias[s] = scaled[s], l
+		scaled[l] -= 1 - scaled[s]
+		if scaled[l] < 1 {
+			small = append(small, l)
+		} else {
+			large = append(large, l)
+		}
+	}
+	for _, l := range large {
+		prob[l], alias[l] = 1, l
+	}
+	for _, s := range small {
+		prob[s], alias[s] = 1, s
+	}
+	return prob, alias, total
+}
+
+// TestAliasBuilderSlabMatchesReference builds many tables of varying size
+// into one cell slab with one reused builder and checks every cell against
+// the reference construction, then checks draws against NewAlias.
+func TestAliasBuilderSlabMatchesReference(t *testing.T) {
+	if size := unsafe.Sizeof(AliasCell{}); size != 16 {
+		t.Fatalf("AliasCell is %d bytes, want 16", size)
+	}
+	wr := rng.New(31)
+	var tables [][]float32
+	edges := 0
+	for k := 0; k < 300; k++ {
+		n := 1 + wr.Intn(1+k)
+		w := make([]float32, n)
+		for i := range w {
+			w[i] = float32(wr.Range(0, 9))
+			if wr.Intn(5) == 0 {
+				w[i] = 0
+			}
+		}
+		w[wr.Intn(n)] = 2 // ensure a positive total
+		tables = append(tables, w)
+		edges += n
+	}
+	headers := make([]Alias, len(tables))
+	cells := make([]AliasCell, edges)
+	var b AliasBuilder
+	for k, w := range tables {
+		if err := b.Build(&headers[k], cells[:len(w)], w); err != nil {
+			t.Fatal(err)
+		}
+		cells = cells[len(w):]
+	}
+	for k, w := range tables {
+		a := &headers[k]
+		prob, alias, total := referenceAlias(w)
+		if a.N() != len(w) || a.Total() != total {
+			t.Fatalf("table %d: N %d total %v, want %d %v", k, a.N(), a.Total(), len(w), total)
+		}
+		for i := range w {
+			c := a.cells[i]
+			if c.prob != prob[i] || c.alias != alias[i] || a.WeightAt(i) != float64(w[i]) {
+				t.Fatalf("table %d cell %d: {%v %d %v}, want {%v %d %v}",
+					k, i, c.prob, c.alias, a.WeightAt(i), prob[i], alias[i], w[i])
+			}
+		}
+		fresh, err := NewAlias(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, r2 := rng.New(uint64(k)), rng.New(uint64(k))
+		for d := 0; d < 50; d++ {
+			if x, y := a.Sample(r1), fresh.Sample(r2); x != y {
+				t.Fatalf("table %d draw %d: slab %d, NewAlias %d", k, d, x, y)
+			}
+		}
+	}
+	if err := b.Build(&Alias{}, make([]AliasCell, 2), []float32{1, 2, 3}); err == nil {
+		t.Fatal("Build accepted a cell slice of the wrong length")
 	}
 }
 
