@@ -574,8 +574,8 @@ type node struct {
 	// localMig is non-nil when the endpoint shares this process's address
 	// space (transport.LocalSender): migrations then transfer walker
 	// objects by reference instead of round-tripping through the wire
-	// codec. Any wrapper (observer, timeout, fault injection) hides the
-	// capability, restoring the byte path.
+	// codec. The observer and timeout wrappers keep the capability; fault
+	// injection hides it, restoring the byte path.
 	localMig transport.LocalSender
 
 	interleaved bool
@@ -1146,6 +1146,9 @@ func (n *node) run() (iterations, lightIters int, err error) {
 				return iterations, lightIters, err
 			}
 		}
+		if n.loop.out.migrations > 0 {
+			n.dropMigrants()
+		}
 		n.inFlight += n.loop.out.migrations
 		n.loop.out.migrations = 0
 		n.loop.out.flush(n.ep, n.localMig) // delivered at next superstep's first exchange
@@ -1710,9 +1713,9 @@ func (n *node) applyResponses(payload []byte, st *workerState) error {
 			// The accepted dart was thrown in an earlier phase A burst whose
 			// count is no longer tracked; observe the resolving dart alone.
 			n.observeStep(w, 1, 1)
-			if !n.applyAction(w, actMove, int(w.pendingEdge), st) {
-				n.removeWalker(w)
-			}
+			// A walker this moves off the rank stays listed until
+			// dropMigrants runs after the whole phase.
+			n.applyAction(w, actMove, int(w.pendingEdge), st)
 		}
 		// On rejection the walker simply stays mid-step (sampling == true)
 		// and retries at the next superstep — the paper's "less fortunate
@@ -1721,18 +1724,21 @@ func (n *node) applyResponses(payload []byte, st *workerState) error {
 	return nil
 }
 
-// removeWalker drops a migrated walker from the local list (slow path,
-// only used when a phase-C acceptance crosses nodes).
-func (n *node) removeWalker(w *Walker) {
-	for i, x := range n.walkers {
-		if x == w {
-			last := len(n.walkers) - 1
-			n.walkers[i] = n.walkers[last]
-			n.walkers = n.walkers[:last]
-			return
+// dropMigrants removes the walkers phase C moved to other ranks from the
+// local list in one order-preserving pass. Every walker that stays
+// resides on a vertex this rank owns, so a migrant is exactly a listed
+// walker whose current vertex is owned elsewhere.
+//
+//kk:hotpath
+func (n *node) dropMigrants() {
+	kept := n.walkers[:0]
+	for _, w := range n.walkers {
+		if n.part.Owns(n.rank, w.Cur) {
+			kept = append(kept, w)
 		}
 	}
-	panic(fmt.Sprintf("core: walker %d not found for removal", w.ID)) //kk:alloc-ok panic path: removing an untracked walker is an engine bug, never steady state
+	clear(n.walkers[len(kept):])
+	n.walkers = kept
 }
 
 func (n *node) samplerOf(v graph.VertexID) sampling.StaticSampler {

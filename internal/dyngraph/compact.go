@@ -1,9 +1,6 @@
 package dyngraph
 
-import (
-	"knightking/internal/graph"
-	"knightking/internal/sampling"
-)
+import "knightking/internal/sampling"
 
 // testHookMidCompact, when set by tests, runs after the new base CSR is
 // materialized but before the epoch is published — the window a crash
@@ -51,8 +48,7 @@ func (d *DynGraph) compactLocked() (*Epoch, error) {
 	ep := &Epoch{
 		seq:   prev.seq + 1,
 		view:  newBase,
-		fpSet: true,
-		fp:    graph.Fingerprint(newBase),
+		fp:    prev.fp, // same content, so the fingerprint carries over
 		logFP: mixU64(prev.logFP, markCompact),
 		kind:  prev.kind,
 		store: store,

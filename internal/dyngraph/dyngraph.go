@@ -144,7 +144,6 @@ func New(base *graph.Graph, opt Options) (*DynGraph, error) {
 	fp := graph.Fingerprint(base)
 	d.cur.Store(&Epoch{
 		view:  base,
-		fpSet: true,
 		fp:    fp,
 		logFP: chainSeed(fp),
 		kind:  opt.SamplerKind,
@@ -342,6 +341,15 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 		return nil, err
 	}
 
+	// The fingerprint decomposes per vertex, so only the touched
+	// vertices' terms move.
+	fp := prev.fp
+	for i, v := range verts {
+		if touched[i] {
+			fp += graph.VertexHash(view, v) - graph.VertexHash(prev.view, v)
+		}
+	}
+
 	logFP := prev.logFP
 	logFP = mixU64(logFP, markApply)
 	logFP = mixU64(logFP, uint64(len(batch)))
@@ -360,10 +368,9 @@ func (d *DynGraph) Apply(batch []Delta) (*Epoch, error) {
 
 	nv, deltaEdges := view.OverlayStats()
 	ep := &Epoch{
-		seq:  prev.seq + 1,
-		view: view,
-		// fp stays lazy: hashing the whole view here would make every
-		// Apply O(V+E) and sink the O(affected-vertex) ingest bound.
+		seq:        prev.seq + 1,
+		view:       view,
+		fp:         fp,
 		logFP:      logFP,
 		kind:       d.opt.SamplerKind,
 		store:      store,

@@ -131,8 +131,9 @@ func randomBatch(r *rand.Rand, m *model, size int) []Delta {
 
 // TestApplyMatchesRebuilt is the oracle test: after each random batch
 // the epoch's overlay view, compacted, must fingerprint identically to
-// the CSR rebuilt from scratch from the same edge set — for weighted
-// and unweighted bases.
+// the CSR rebuilt from scratch from the same edge set, and the epoch's
+// incrementally maintained fingerprint must equal that full rehash — for
+// weighted, unweighted and typed bases, before and after compaction.
 func TestApplyMatchesRebuilt(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -161,9 +162,12 @@ func TestApplyMatchesRebuilt(t *testing.T) {
 				if err := ep.View().Validate(); err != nil {
 					t.Fatalf("round %d: view invalid: %v", round, err)
 				}
-				want := m.rebuild()
-				if graph.Fingerprint(ep.View().Compacted()) != graph.Fingerprint(want) {
+				want := graph.Fingerprint(m.rebuild())
+				if graph.Fingerprint(ep.View().Compacted()) != want {
 					t.Fatalf("round %d: overlay view diverged from the rebuilt-from-scratch CSR", round)
+				}
+				if ep.Fingerprint() != want {
+					t.Fatalf("round %d: incremental fingerprint %016x, full rehash %016x", round, ep.Fingerprint(), want)
 				}
 				if ep.Seq() != uint64(round+1) {
 					t.Fatalf("round %d: epoch seq %d", round, ep.Seq())
@@ -177,10 +181,35 @@ func TestApplyMatchesRebuilt(t *testing.T) {
 			if ep.View().Overlaid() {
 				t.Fatal("compacted epoch still an overlay")
 			}
-			if graph.Fingerprint(ep.View()) != graph.Fingerprint(m.rebuild()) {
+			want := graph.Fingerprint(m.rebuild())
+			if graph.Fingerprint(ep.View()) != want {
 				t.Fatal("compacted CSR differs from the rebuilt-from-scratch CSR")
 			}
+			if ep.Fingerprint() != want {
+				t.Fatalf("carried-over fingerprint %016x after compaction, full rehash %016x", ep.Fingerprint(), want)
+			}
 		})
+	}
+}
+
+// TestFingerprintReadAllocs: the epoch fingerprint is maintained by
+// Apply, so reading it on an overlay epoch — what every ingest reply
+// does — hashes and allocates nothing.
+func TestFingerprintReadAllocs(t *testing.T) {
+	d, err := New(weightedBase(t, 40, 4, 31), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := d.Apply([]Delta{{Src: 3, Dst: 7, Weight: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ep.View().Overlaid() {
+		t.Fatal("ingest epoch is not an overlay view")
+	}
+	var sink uint64
+	if allocs := testing.AllocsPerRun(100, func() { sink += ep.Fingerprint() }); allocs != 0 {
+		t.Fatalf("Epoch.Fingerprint allocates %v times per call", allocs)
 	}
 }
 

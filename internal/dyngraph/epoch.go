@@ -3,7 +3,6 @@ package dyngraph
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"knightking/internal/graph"
 	"knightking/internal/sampling"
@@ -21,13 +20,10 @@ type Epoch struct {
 	seq  uint64
 	view *graph.Graph
 
-	// fp is the O(V+E) content hash. Known at construction for epoch 0
-	// and post-compaction epochs (fpSet); computed lazily on first query
-	// for ingest epochs, so Apply stays O(affected-vertex) — the log
-	// fingerprint, maintained in O(batch), is the eager identity.
-	fpSet  bool
-	fpOnce sync.Once
-	fp     uint64
+	// fp is the content hash of the compacted view. Hashed once for
+	// epoch 0, moved by the touched vertices' hash differences in Apply
+	// and carried over unchanged by Compact.
+	fp uint64
 
 	logFP uint64
 	kind  string
@@ -48,14 +44,9 @@ func (e *Epoch) View() *graph.Graph { return e.view }
 // graph.Fingerprint of the compacted view, so it is representation-
 // independent — an overlay epoch and the plain CSR holding the same
 // edges hash identically, and ingest followed by compaction that lands
-// back on the base content reports the base fingerprint. Computed on
-// first call for ingest epochs and cached; safe from any goroutine.
-func (e *Epoch) Fingerprint() uint64 {
-	if !e.fpSet {
-		e.fpOnce.Do(func() { e.fp = graph.Fingerprint(e.view.Compacted()) })
-	}
-	return e.fp
-}
+// back on the base content reports the base fingerprint. Kept current
+// by every Apply in O(affected degree), so reading it is free.
+func (e *Epoch) Fingerprint() uint64 { return e.fp }
 
 // LogFingerprint returns the delta-log chain hash: a pure function of
 // the base fingerprint, every applied batch in order, and compaction

@@ -10,8 +10,9 @@ import (
 // FuzzApplyDeltas drives random insert/delete batches through Apply and
 // checks the overlay view against the rebuilt-from-scratch CSR oracle:
 // Apply must never panic, must reject exactly what the naive model
-// rejects, and on success the epoch's compacted view must fingerprint
-// identically to the rebuilt graph while staying structurally valid.
+// rejects, and on success the epoch's compacted view and its
+// incrementally maintained fingerprint must both match the rebuilt
+// graph's fingerprint while the view stays structurally valid.
 func FuzzApplyDeltas(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x40})
 	f.Add([]byte{0x81, 0x02, 0x01, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06})
@@ -42,8 +43,12 @@ func FuzzApplyDeltas(f *testing.F) {
 				if verr := view.Validate(); verr != nil {
 					t.Fatalf("published view invalid: %v", verr)
 				}
-				if graph.Fingerprint(view.Compacted()) != graph.Fingerprint(m.rebuild()) {
+				want := graph.Fingerprint(m.rebuild())
+				if graph.Fingerprint(view.Compacted()) != want {
 					t.Fatalf("overlay view diverged from rebuilt CSR after batch %+v", batch)
+				}
+				if ep.Fingerprint() != want {
+					t.Fatalf("incremental fingerprint diverged from the full rehash after batch %+v", batch)
 				}
 			} else {
 				// Failed batches must keep the model in sync: rebuild the
@@ -75,8 +80,12 @@ func FuzzApplyDeltas(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if graph.Fingerprint(ep.View()) != graph.Fingerprint(m.rebuild()) {
+		want := graph.Fingerprint(m.rebuild())
+		if graph.Fingerprint(ep.View()) != want {
 			t.Fatal("compacted CSR diverged from rebuilt CSR")
+		}
+		if ep.Fingerprint() != want {
+			t.Fatal("carried-over fingerprint diverged from the full rehash after compaction")
 		}
 	})
 }

@@ -66,3 +66,15 @@ func BenchmarkConnectedComponents(b *testing.B) {
 		_, _ = ConnectedComponents(g)
 	}
 }
+
+func BenchmarkFingerprint(b *testing.B) {
+	g := benchGraph(b, 10000, 50)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fpBenchSink = Fingerprint(g)
+	}
+}
+
+// fpBenchSink keeps the compiler from dropping BenchmarkFingerprint's
+// calls.
+var fpBenchSink uint64

@@ -79,3 +79,40 @@ func TestFingerprintPartialSliceDiffersFromFull(t *testing.T) {
 		t.Fatal("different slices collide")
 	}
 }
+
+// TestFingerprintSwappedAdjacency: each vertex's term is seeded by its
+// ID, so moving an adjacency list to another vertex changes the hash even
+// though the multiset of per-vertex edge lists is unchanged.
+func TestFingerprintSwappedAdjacency(t *testing.T) {
+	a := fpGraph([][2]VertexID{{0, 1}, {0, 2}, {1, 3}}, 4)
+	b := fpGraph([][2]VertexID{{1, 1}, {1, 2}, {0, 3}}, 4)
+	if Fingerprint(a) == Fingerprint(b) {
+		t.Fatal("swapping two vertices' adjacency did not change the fingerprint")
+	}
+}
+
+// TestFingerprintDecomposesPerVertex: replacing some vertices' adjacency
+// moves the fingerprint by exactly the difference of those vertices'
+// VertexHash terms — the identity dynamic graphs maintain per batch.
+func TestFingerprintDecomposesPerVertex(t *testing.T) {
+	b := NewBuilder(5)
+	b.AddWeightedEdge(0, 1, 1)
+	b.AddWeightedEdge(1, 2, 2)
+	b.AddWeightedEdge(1, 4, 3)
+	b.AddWeightedEdge(3, 0, 1)
+	before := b.Build()
+	b = NewBuilder(5)
+	b.AddWeightedEdge(0, 1, 1)
+	b.AddWeightedEdge(1, 2, 5)
+	b.AddWeightedEdge(3, 0, 1)
+	b.AddWeightedEdge(3, 4, 2)
+	after := b.Build()
+
+	want := Fingerprint(before)
+	for _, v := range []VertexID{1, 3} {
+		want += VertexHash(after, v) - VertexHash(before, v)
+	}
+	if got := Fingerprint(after); got != want {
+		t.Fatalf("fingerprint %016x, incremental update %016x", got, want)
+	}
+}

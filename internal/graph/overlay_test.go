@@ -203,8 +203,8 @@ func TestOverlayCompactedEquivalence(t *testing.T) {
 
 func TestOverlayFingerprint(t *testing.T) {
 	base, over := overlayFixture(t)
-	// The overlay section only appends when present: the base keeps the
-	// delta-free hash.
+	// The overlay replaces vertex 1's adjacency, so its hash differs from
+	// the base's.
 	if Fingerprint(base) == Fingerprint(over) {
 		t.Fatal("overlay view fingerprints identically to its base")
 	}

@@ -78,21 +78,22 @@ func (r *GraphRegistry) Register(name string, g *graph.Graph) (GraphInfo, error)
 	if g == nil {
 		return GraphInfo{}, fmt.Errorf("service: registering nil graph %q", name)
 	}
-	fp := graph.Fingerprint(g)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if prev, ok := r.entries[name]; ok {
+		fp := graph.Fingerprint(g)
 		if prev.fp == fp {
 			return prev.info(), nil // same content: idempotent
 		}
 		return GraphInfo{}, fmt.Errorf("service: graph name %q already bound to different content (registered %016x, offered %016x)",
 			name, prev.fp, fp)
 	}
+	// A new name hashes g once, inside New, as epoch 0's fingerprint.
 	dyn, err := dyngraph.New(g, r.opt)
 	if err != nil {
 		return GraphInfo{}, fmt.Errorf("service: graph %q: %w", name, err)
 	}
-	e := &graphEntry{name: name, dyn: dyn, fp: fp}
+	e := &graphEntry{name: name, dyn: dyn, fp: dyn.Epoch().Fingerprint()}
 	r.entries[name] = e
 	return e.info(), nil
 }

@@ -49,10 +49,11 @@ type Message struct {
 // shares one address space (the in-process group): SendLocal enqueues an
 // arbitrary object for zero-copy delivery at the next Exchange, skipping
 // serialization entirely. Ownership of obj transfers to the receiving
-// rank. Wrapping endpoints (observer, exchange-timeout, fault injection)
-// deliberately do not implement it, so a caller's type assertion fails
-// whenever a wrapper intervenes and the caller falls back to byte
-// payloads — which keeps wrapped runs exercising the wire codec.
+// rank. The observer and exchange-timeout wrappers forward it, since
+// watching or bounding an exchange leaves the data path alone. Fault
+// injection deliberately does not: a caller's type assertion then fails
+// and the caller falls back to byte payloads, which keeps fault-injected
+// runs exercising the wire codec.
 type LocalSender interface {
 	// SendLocal buffers obj for delivery to rank `to` at the next
 	// Exchange. Safe for concurrent use. The object must not be mutated
@@ -135,7 +136,25 @@ func WithObserver(ep Endpoint, obs Observer) Endpoint {
 	}
 	o := &observedEndpoint{Endpoint: ep, obs: obs}
 	o.peers, _ = obs.(ExchangePeerObserver)
-	return o
+	return keepLocal(o, ep)
+}
+
+// localEndpoint is a wrapping endpoint that also forwards SendLocal to
+// the endpoint it wraps.
+type localEndpoint struct {
+	Endpoint
+	local LocalSender
+}
+
+func (l localEndpoint) SendLocal(to int, kind uint8, obj any) { l.local.SendLocal(to, kind, obj) }
+
+// keepLocal returns the wrapper w of inner, extended with inner's
+// SendLocal when inner implements LocalSender.
+func keepLocal(w, inner Endpoint) Endpoint {
+	if ls, ok := inner.(LocalSender); ok {
+		return localEndpoint{Endpoint: w, local: ls}
+	}
+	return w
 }
 
 // Exchange delegates to the wrapped endpoint, observing the outcome.
@@ -176,7 +195,7 @@ func WithExchangeTimeout(ep Endpoint, d time.Duration) Endpoint {
 	if d <= 0 {
 		return ep
 	}
-	return &guardEndpoint{Endpoint: ep, timeout: d}
+	return keepLocal(&guardEndpoint{Endpoint: ep, timeout: d}, ep)
 }
 
 // Exchange delegates to the wrapped endpoint, bounding its duration.
